@@ -540,7 +540,7 @@ class CalendarRegistry:
         """Compile the periodic form behind a finished evaluation.
 
         Runs on the small budget tier (an ad-hoc evaluation never pays
-        a 400-year oracle interpretation), memoised including the
+        a 400-year oracle evaluation), memoised including the
         fallback outcome, so each expression compiles at most once per
         catalog version and every *later* evaluation — and ``explain``
         — can pick the periodic backend from the memo.
@@ -613,12 +613,15 @@ class CalendarRegistry:
     # -- periodic compilation ------------------------------------------------------
 
     #: Oracle-evaluation budgets (in days) for periodic compilation.
-    #: The full tier admits the 146 097-day Gregorian master period
-    #: (scheduling and DB probe paths, where the one-time cost amortises
-    #: over every later O(offsets) probe); the small tier only admits
-    #: cheap anchors (weekly patterns, year-anchored finite sets) so the
-    #: per-expression optimizer path never stalls on a 400-year
-    #: interpretation.
+    #: The oracle is the production plan path with periodic
+    #: substitution off (:meth:`_oracle_eval`); the reference
+    #: Interpreter remains the test oracle.  The full tier admits the
+    #: 146 097-day Gregorian master period (scheduling and DB probe
+    #: paths, where the one-time cost amortises over every later
+    #: O(offsets) probe); the small tier only admits cheap anchors
+    #: (weekly patterns, year-anchored finite sets) so the
+    #: per-expression optimizer path never stalls on a 400-year oracle
+    #: evaluation.
     _PERIODIC_FULL_DAYS = 220_000
     _PERIODIC_SMALL_DAYS = 25_000
 
@@ -665,25 +668,15 @@ class CalendarRegistry:
 
     def _compile_periodic(self, text: str, max_eval_days: int):
         """Uncached periodic compilation + compiled/fallback telemetry."""
-        from repro.core.periodic import compile_expression_periodic
         reasons: list[str] = []
-        pset = None
-        record = self.table.get(text)
-        if record is not None and record.lifespan != UNBOUNDED_LIFESPAN:
-            # evaluate() clips such names to their lifespan; the inline
-            # oracle does not, so the compiled set would disagree.
-            reasons.append("lifespan-clipped calendar")
+        tracer = self.instrumentation.tracer
+        if tracer is None:
+            pset = self._periodic_from_oracle(text, max_eval_days, reasons)
         else:
-            try:
-                factored = self._factorized_ast(text, None)
-                pset = compile_expression_periodic(
-                    factored, system=self.system, resolver=self.resolver,
-                    evaluate=lambda win: self.eval_expression(
-                        text, window=win, optimize=False),
-                    source=text, max_eval_days=max_eval_days,
-                    reason_out=reasons)
-            except ReproError as exc:
-                reasons.append(str(exc))
+            with tracer.span("periodic.compile", source=text,
+                             budget_days=max_eval_days):
+                pset = self._periodic_from_oracle(text, max_eval_days,
+                                                  reasons)
         metrics = self.instrumentation.metrics
         events = self.instrumentation.pipeline
         if pset is not None:
@@ -700,6 +693,48 @@ class CalendarRegistry:
                 events.emit("periodic.fallback", source=text,
                             reason=reason)
         return pset
+
+    def _periodic_from_oracle(self, text: str, max_eval_days: int,
+                              reasons: list[str]):
+        """Compile ``text`` against the production plan path as oracle."""
+        from repro.core.periodic import compile_expression_periodic
+        record = self.table.get(text)
+        if record is not None and record.lifespan != UNBOUNDED_LIFESPAN:
+            # evaluate() clips such names to their lifespan; the inline
+            # oracle does not, so the compiled set would disagree.
+            reasons.append("lifespan-clipped calendar")
+            return None
+        try:
+            factored = self._factorized_ast(text, None)
+            return compile_expression_periodic(
+                factored, system=self.system, resolver=self.resolver,
+                evaluate=lambda win: self._oracle_eval(text, factored, win),
+                source=text, max_eval_days=max_eval_days,
+                reason_out=reasons)
+        except ReproError as exc:
+            reasons.append(str(exc))
+            return None
+
+    def _oracle_eval(self, text: str, factored: ast.Expr, window):
+        """One periodic-compiler oracle window on the production path.
+
+        The same plan path as :meth:`_eval_expression`, minus its side
+        channels: the context is untraced and emits no telemetry (the
+        caller's ``periodic.compile`` span covers the whole compile),
+        the optimised plan is not memoised (oracle windows never repeat
+        and would evict the working set), and periodic substitution is
+        off so a set is never its own oracle.
+        """
+        ctx = self.context(window)
+        ctx.tracer = ctx.events = None
+        try:
+            plan = self._compiled_plan(text, factored, ctx)
+            if self.optimize:
+                plan = optimize_plan(plan, context_window=ctx.window,
+                                     unit=ctx.unit, periodic=None).plan
+            return PlanVM(ctx).run(plan)
+        except PlanError:
+            return Interpreter(ctx).evaluate(factored)
 
     # -- rule support ------------------------------------------------------------------
 

@@ -705,25 +705,6 @@ def iter_groups(mem: IntervalColumns, refs: IntervalColumns, op_name: str,
         yield i, sweep_one(mem, op_name, rlos[i], rhis[i], clip)
 
 
-def filtering_positions(mem: IntervalColumns, refs: IntervalColumns,
-                        op_name: str, inverse: "str | None"
-                        ) -> Iterator[tuple[int, int, int]]:
-    """Yield ``(member_index, cand_start, cand_end)`` for filtering listops.
-
-    The candidate range indexes ``refs`` (original order); ``inverse``
-    narrows it by lane search exactly like ``_foreach_filtering`` does
-    with the inverse-operator ``candidate_range``.
-    """
-    los, his = mem.los, mem.his
-    nrefs = len(refs)
-    for i in range(len(los)):
-        if inverse is not None:
-            start, end, _exact = group_range(refs, inverse, los[i], his[i])
-        else:
-            start, end = 0, nrefs
-        yield i, start, end
-
-
 # ---------------------------------------------------------------------------
 # Batch probe / join kernels (the DB executor's vectorized pipeline)
 # ---------------------------------------------------------------------------

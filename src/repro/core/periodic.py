@@ -31,7 +31,11 @@ compile the algebra symbolically.  It splits the work:
 2. **Evaluate with the materialising oracle** over an anchor window one
    period wide (placed clear of the finite extent) and over the patch
    extent, then read coverage runs out of the result.  The compiled set
-   is byte-identical to the oracle *by construction*.
+   is byte-identical to the oracle *by construction*.  The registry's
+   oracle is its production plan path (optimised plan, PlanVM) with
+   periodic substitution disabled, so a set is never its own oracle;
+   the reference Interpreter remains the test oracle the property
+   suite compiles against.
 3. **Verify** periodicity empirically on flank zones of the oracle
    windows: coverage left/right of the anchor period must match the
    extracted residues, and coverage just outside the patch window must
@@ -593,7 +597,8 @@ def compile_expression_periodic(
 
     ``evaluate`` is the materialising oracle: a callable mapping an axis
     tick window to the expression's Calendar over that window (the
-    registry passes its interpreter path).  Returns ``None`` — with the
+    registry passes its production plan path with periodic
+    substitution disabled).  Returns ``None`` — with the
     reason appended to ``reason_out`` — whenever the expression cannot
     be proven eventually periodic or the oracle windows would exceed
     ``max_eval_days``; the caller then stays on the materialising path.

@@ -175,23 +175,6 @@ class VectorPlan:
         """One variable's filters, in original conjunct order."""
         return self.filters.get(var, [])
 
-    def conjunct_strategies(self) -> list[tuple[object, str]]:
-        """``(term, strategy)`` pairs in classification order — the raw
-        material of the EXPLAIN strategy lines (equi edges report
-        :data:`STRAT_HASH`; the executor upgrades index-fed first joins
-        to :data:`STRAT_MERGE`)."""
-        out: list[tuple[object, str]] = []
-        for term in self.const_terms:
-            out.append((term, STRAT_SEQUENTIAL))
-        for var in self.order:
-            for f in self.filters_of(var):
-                out.append((f.term, f.strategy))
-        for edge in self.edges:
-            strategy = STRAT_HASH if isinstance(edge, EquiEdge) \
-                else STRAT_SWEEP
-            out.append((edge.term, strategy))
-        return out
-
 
 def _conjuncts(expr) -> list:
     if expr is None:

@@ -42,15 +42,3 @@ class ReproError(Exception):
         for key, value in entries.items():
             self.context.setdefault(key, value)
         return self
-
-    def context_summary(self) -> str:
-        """One-line rendering of the context payload (empty if none)."""
-        if not self.context:
-            return ""
-        parts = []
-        for key, value in sorted(self.context.items()):
-            text = repr(value)
-            if len(text) > 60:
-                text = text[:57] + "..."
-            parts.append(f"{key}={text}")
-        return "; ".join(parts)

@@ -288,16 +288,6 @@ class Tracer:
         stack = self._stack()
         return stack[-1] if stack else None
 
-    def current_trace_id(self) -> "str | None":
-        """The trace id of this thread's open trace, if any.
-
-        Exemplar hook: hot emitters pass this to
-        :meth:`~repro.obs.metrics.Histogram.observe` so bucket exemplars
-        point back into the trace ring.
-        """
-        stack = self._stack()
-        return stack[0].trace_id if stack else None
-
     def _publish(self, span: Span) -> None:
         """Append a finished root span unless a clear() superseded it.
 

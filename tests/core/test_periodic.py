@@ -177,6 +177,63 @@ class TestCompilationOutcomes:
         assert reasons
 
 
+class TestProductionOracle:
+    """Compilation evaluates its oracle windows on the production plan
+    path; the Interpreter is only the fallback for a PlanError."""
+
+    def test_full_tier_compile_never_calls_the_interpreter(
+            self, registry, monkeypatch):
+        from repro.lang.interpreter import Interpreter
+
+        calls = []
+        evaluate = Interpreter.evaluate
+
+        def counting(self, expr):
+            calls.append(expr)
+            return evaluate(self, expr)
+
+        monkeypatch.setattr(Interpreter, "evaluate", counting)
+        metrics = registry.instrumentation.metrics
+        compiled = metrics.counter("periodic.compiled").value
+        fallback = metrics.counter("periodic.fallback").value
+        pset = registry.periodic_set("[2]/Fridays:during:MONTHS")
+        assert pset is not None
+        assert pset.period == GREGORIAN_PERIOD_DAYS
+        assert calls == []
+        assert metrics.counter("periodic.compiled").value == compiled + 1
+        assert metrics.counter("periodic.fallback").value == fallback
+
+    def test_oracle_writes_no_optimized_plan_memo(self, registry,
+                                                  monkeypatch):
+        keys = []
+        memo_put = registry.matcache.memo_put
+
+        def recording(key, value):
+            keys.append(key)
+            memo_put(key, value)
+
+        monkeypatch.setattr(registry.matcache, "memo_put", recording)
+        assert registry.periodic_set("[3]/DAYS:during:MONTHS") is not None
+        assert keys
+        assert not [key for key in keys if key[0] == "optplan"]
+
+    def test_compile_is_one_untraced_span(self, system87):
+        from repro.catalog import CalendarRegistry, install_standard_calendars
+        from repro.core.matcache import MaterialisationCache
+        from repro.obs.instrument import Instrumentation
+
+        inst = Instrumentation()
+        inst.enable_tracing()
+        registry = CalendarRegistry(system87, matcache=MaterialisationCache(),
+                                    instrumentation=inst)
+        install_standard_calendars(registry)
+        assert registry.periodic_set("[2]/Fridays:during:MONTHS") is not None
+        root = inst.recent_traces()[-1]
+        assert root.name == "periodic.compile"
+        assert root.meta["source"] == "[2]/Fridays:during:MONTHS"
+        assert [span.name for span in root.walk()] == ["periodic.compile"]
+
+
 class TestGate:
     def test_env_gate_defaults_on(self, registry):
         assert registry.periodic

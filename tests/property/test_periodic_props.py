@@ -1,5 +1,10 @@
 """Compiled periodic sets agree with the interpreter oracle.
 
+The registry compiles against its production plan path; the eager
+interpreter stays the test-side oracle, and one property compiles each
+drawn expression against both and requires the same set (or a fallback
+on both sides).
+
 Two strategies:
 
 * ``compilable_expressions`` leans on weekly and finite shapes (cheap
@@ -26,6 +31,9 @@ from repro.catalog import (
 )
 from repro.core import CalendarSystem
 from repro.core.matcache import MaterialisationCache
+from repro.core.periodic import compile_expression_periodic
+from repro.lang.factorizer import factorize
+from repro.lang.parser import parse_expression
 
 #: One registry for the whole module: compiles and oracle evaluations
 #: are memoised in its cache, so repeated draws of the same expression
@@ -160,6 +168,47 @@ def test_iter_from_matches_oracle_prefix(text, offset):
             break
         got.append(occurrence)
     assert got == expected, f"iter_from({tick}) disagrees for {text!r}"
+
+
+# -- production oracle vs interpreter oracle -----------------------------------
+
+weekday_names = st.sampled_from(["Mondays", "Tuesdays", "Wednesdays",
+                                 "Thursdays", "Fridays"])
+
+
+@st.composite
+def benchmark_shapes(draw):
+    """The rule and first-touch shapes of the repository benchmark:
+    monthly ordinals on the Gregorian period and month/year chains."""
+    form = draw(st.sampled_from(["day", "weekday", "chain"]))
+    if form == "day":
+        return f"[{draw(st.integers(1, 28))}]/DAYS:during:MONTHS"
+    if form == "weekday":
+        return (f"[{draw(st.integers(1, 4))}]/{draw(weekday_names)}"
+                ":during:MONTHS")
+    head = draw(st.sampled_from(
+        ["DAYS", "[n]/DAYS", "[2]/DAYS:during:WEEKS", "[n]/AM_BUS_DAYS",
+         "[3]/Fridays", "WEEKS", "HOLIDAYS"]))
+    return (f"{head}:during:[{draw(st.integers(1, 12))}]/MONTHS:during:"
+            f"{draw(st.integers(1988, 2005))}/YEARS")
+
+
+def _interpreter_compile(registry, text):
+    """``text`` compiled with the eager interpreter as its oracle."""
+    factored = factorize(parse_expression(text), registry.resolver).expression
+    return compile_expression_periodic(
+        factored, system=registry.system, resolver=registry.resolver,
+        evaluate=lambda win: registry.eval_expression(
+            text, window=win, optimize=False),
+        source=text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(compilable_expressions(), benchmark_shapes()))
+def test_production_oracle_matches_interpreter_oracle(text):
+    registry = _registry()
+    assert registry.periodic_set(text) == _interpreter_compile(registry,
+                                                               text)
 
 
 # -- clean fallback over the broad expression grammar --------------------------
