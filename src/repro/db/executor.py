@@ -35,7 +35,7 @@ from typing import Iterator, Sequence
 
 from repro.core.calendar import Calendar
 from repro.core.chrono import CivilDate
-from repro.core.columnar import interval_join_pairs
+from repro.core.columnar import interval_join_counts, interval_join_pairs
 from repro.db import vector
 from repro.db.errors import ExecutionError, SchemaError
 from repro.db.index import IntervalIndex, OrderedIndex
@@ -268,9 +268,10 @@ class Executor:
         When the statement classifies for the vectorized engine, a
         ``vectorized pipeline`` section lists the chosen strategy per
         conjunct (``hash join``, ``merge join``, ``endpoint sweep``,
-        ``batched calendar sweep``, ``sequential fallback``); otherwise
-        a ``vectorized: off`` line states why — e.g. that an ``as of``
-        historical scan forces the sequential path.
+        ``endpoint sweep (count only)``, ``batched calendar sweep``,
+        ``sequential fallback``); otherwise a ``vectorized: off`` line
+        states why — e.g. that an ``as of`` historical scan forces the
+        sequential path.
         """
         if not isinstance(statement, Retrieve):
             raise ExecutionError("explain supports retrieve statements")
@@ -351,9 +352,10 @@ class Executor:
         fast_count = None
         combos: "Iterator[dict] | list[dict]"
         if plan is not None:
+            count_only = self._count_only(stmt)
             try:
-                order, rows_by, positions = self._vector_positions(
-                    stmt, plan, bindings, calendar_index)
+                found = self._vector_positions(
+                    stmt, plan, bindings, calendar_index, count_only)
             except (ExecutionError, TypeError):
                 # A batch kernel hit a data-dependent evaluation error
                 # (NULL in a comparison, incomparable types) on a row
@@ -367,19 +369,13 @@ class Executor:
                 ).labels(vector.STRAT_SEQUENTIAL).inc()
                 plan = None
         if plan is not None:
-            count_only = bool(aggregate_mode) and all(
-                t.expr.name == "count" and not t.expr.args
-                for t in stmt.targets)
-            hooked = any(self.db.relation(rv.relation).hooks["retrieve"]
-                         for rv in stmt.range_vars)
-            if count_only and not hooked:
+            if count_only:
                 # count() over a hook-free retrieve needs only the
                 # surviving combo count — skip dict materialisation.
-                fast_count = len(positions)
+                fast_count = found
                 combos = ()
             else:
-                combos = self._position_combos(order, rows_by, positions,
-                                               bindings)
+                combos = self._position_combos(*found, bindings)
         else:
             combos = self._sequential_combos(stmt, where, bindings,
                                              calendar_index)
@@ -484,6 +480,35 @@ class Executor:
         value = combo[var].get(column)
         return value is not None and index.contains(value)
 
+    def _count_only(self, stmt: Retrieve) -> bool:
+        """Whether the retrieve projects only ``count()`` and no range
+        relation has a retrieve hook: its result is the number of
+        surviving combos, and no combo is ever looked at."""
+        return bool(stmt.targets) and all(
+            isinstance(t.expr, FuncCall) and t.expr.name == "count"
+            and not t.expr.args for t in stmt.targets) and not any(
+            self.db.relation(rv.relation).hooks["retrieve"]
+            for rv in stmt.range_vars)
+
+    def _counted_edge(self, stmt: Retrieve, plan):
+        """The sweep edge whose matches the fold counts instead of
+        pairing, or None.
+
+        Eligible: a :meth:`_count_only` retrieve with no ``on
+        <calendar>`` clause whose last fold variable has exactly one
+        applicable edge, an endpoint sweep.  Every edge on the last
+        variable is applicable at that step (all other variables are
+        bound), so the fold's last step and EXPLAIN both ask this one
+        function.
+        """
+        if stmt.on_calendar is not None or not self._count_only(stmt):
+            return None
+        last = plan.order[-1]
+        edges = [e for e in plan.edges if last in e.vars()]
+        if len(edges) == 1 and isinstance(edges[0], vector.IntervalEdge):
+            return edges[0]
+        return None
+
     def _fire_retrieve(self, range_vars, combo: dict) -> None:
         for rv in range_vars:
             relation = self.db.relation(rv.relation)
@@ -515,7 +540,7 @@ class Executor:
             yield combo
 
     def _vector_positions(self, stmt: Retrieve, plan, extra: dict,
-                          calendar_index):
+                          calendar_index, count_only: bool):
         """Run the batch pipeline for a classified retrieve.
 
         Returns ``(order, rows_by, positions)``: the range-variable
@@ -523,6 +548,10 @@ class Executor:
         combos as tuples of positions into those lists.  Combos carry
         positions, not dicts — binding dicts are only inflated for the
         tuples that survive every filter and join.
+
+        With ``count_only`` it returns the number of surviving combos
+        instead, and the :meth:`_counted_edge` step, when there is one,
+        counts its matches per combo rather than building them.
         """
         metrics = self.db.instrumentation.metrics
         strategies = metrics.counter(
@@ -535,7 +564,8 @@ class Executor:
         order = list(plan.order)
         env_base = dict(extra)
         rows_by: dict[str, list] = {}
-        empty = (order, rows_by, [])
+        empty = 0 if count_only else (order, rows_by, [])
+        counted = self._counted_edge(stmt, plan) if count_only else None
         for term in plan.const_terms:
             strategies.labels(vector.STRAT_SEQUENTIAL).inc()
             if not self._truthy(self._eval(term, env_base)):
@@ -567,6 +597,10 @@ class Executor:
                 combos = [c + (p,) for c in combos for p in sel]
             else:
                 primary = applicable[0]
+                if primary is counted:
+                    strategies.labels(vector.STRAT_SWEEP).inc()
+                    return self._sweep_count(primary, combos, idx_of, var,
+                                             rows_by, sel_by)
                 combos = self._vector_join(
                     primary, combos, idx_of, var, rows_by, sel_by,
                     full_by, relations, base_pair, env_base, strategies)
@@ -582,12 +616,12 @@ class Executor:
                 idx_of[var] = len(idx_of)
             base_pair = False
             if not combos:
-                return order, rows_by, []
+                return empty
         if calendar_index is not None and combos:
             strategies.labels(vector.STRAT_CALENDAR).inc()
             combos = self._vector_calendar_filter(stmt, combos, rows_by,
                                                   calendar_index)
-        return order, rows_by, combos
+        return len(combos) if count_only else (order, rows_by, combos)
 
     def _vector_candidates(self, relation, var: str, plan, env_base: dict,
                            strategies):
@@ -904,6 +938,56 @@ class Executor:
                 out.append(c)
         return out
 
+    @staticmethod
+    def _sweep_lanes(rows_by, sel_by, v: str, lo_col: str, hi_col: str):
+        """One side of an endpoint sweep: its regular rows as lo-sorted
+        ``(lo, hi, position)`` triples, and the positions of its
+        irregular rows (NULL, NaN or inverted)."""
+        rows, sel = rows_by[v], sel_by[v]
+        regular: list[tuple] = []
+        irregular: list[int] = []
+        for p in sel:
+            row = rows[p]
+            if lo_col not in row or hi_col not in row:
+                missing = lo_col if lo_col not in row else hi_col
+                raise ExecutionError(
+                    f"tuple variable {v!r} has no column {missing!r}")
+            lo, hi = row[lo_col], row[hi_col]
+            if lo is not None and hi is not None and lo <= hi:
+                regular.append((lo, hi, p))
+            else:
+                irregular.append(p)
+        regular.sort(key=lambda e: e[0])
+        return regular, irregular
+
+    def _sweep_sides(self, edge, rows_by, sel_by):
+        """Both sides' :meth:`_sweep_lanes`, left then right."""
+        return (self._sweep_lanes(rows_by, sel_by, edge.left_var,
+                                  edge.left_lo, edge.left_hi),
+                self._sweep_lanes(rows_by, sel_by, edge.right_var,
+                                  edge.right_lo, edge.right_hi))
+
+    def _sweep_scalar(self, edge, a_reg, a_irr, b_irr, rows_by, sel_by,
+                      note) -> None:
+        """Match the irregular rows through the scalar builtin
+        predicate, calling ``note(pa, pb)`` per matching pair, so the
+        sweep's pair set is identical to the row engine's."""
+        pred = self.db.builtin_interval_predicates[edge.op]
+        rows_l, rows_r = rows_by[edge.left_var], rows_by[edge.right_var]
+
+        def scalar_pairs(ps_a, ps_b):
+            for pa in ps_a:
+                ra = rows_l[pa]
+                alo, ahi = ra[edge.left_lo], ra[edge.left_hi]
+                for pb in ps_b:
+                    rb = rows_r[pb]
+                    if self._truthy(pred(alo, ahi, rb[edge.right_lo],
+                                         rb[edge.right_hi])):
+                        note(pa, pb)
+
+        scalar_pairs(a_irr, sel_by[edge.right_var])
+        scalar_pairs([e[2] for e in a_reg], b_irr)
+
     def _sweep_join(self, edge, combos, idx_of, var: str, rows_by,
                     sel_by):
         """Endpoint-sweep interval join for ``overlaps``/``during``.
@@ -916,29 +1000,8 @@ class Executor:
         lvar, rvar = edge.left_var, edge.right_var
         bvar = rvar if lvar == var else lvar
         bidx = idx_of[bvar]
-        pred = self.db.builtin_interval_predicates[edge.op]
-
-        def lanes(v, lo_col, hi_col):
-            rows, sel = rows_by[v], sel_by[v]
-            regular: list[tuple] = []
-            irregular: list[int] = []
-            for p in sel:
-                row = rows[p]
-                if lo_col not in row or hi_col not in row:
-                    missing = lo_col if lo_col not in row else hi_col
-                    raise ExecutionError(
-                        f"tuple variable {v!r} has no column "
-                        f"{missing!r}")
-                lo, hi = row[lo_col], row[hi_col]
-                if lo is not None and hi is not None and lo <= hi:
-                    regular.append((lo, hi, p))
-                else:
-                    irregular.append(p)
-            regular.sort(key=lambda e: e[0])
-            return regular, irregular
-
-        a_reg, a_irr = lanes(lvar, edge.left_lo, edge.left_hi)
-        b_reg, b_irr = lanes(rvar, edge.right_lo, edge.right_hi)
+        (a_reg, a_irr), (b_reg, b_irr) = self._sweep_sides(edge, rows_by,
+                                                           sel_by)
         pairs = interval_join_pairs(
             [e[0] for e in a_reg], [e[1] for e in a_reg],
             [e[0] for e in b_reg], [e[1] for e in b_reg],
@@ -951,27 +1014,14 @@ class Executor:
             for i, j in pairs:
                 matches.setdefault(a_reg[i][2], []).append(b_reg[j][2])
         if a_irr or b_irr:
-            rows_l, rows_r = rows_by[lvar], rows_by[rvar]
-
             def note(pa, pb):
                 if lvar == var:
                     matches.setdefault(pb, []).append(pa)
                 else:
                     matches.setdefault(pa, []).append(pb)
 
-            def scalar_pairs(ps_a, ps_b):
-                for pa in ps_a:
-                    ra = rows_l[pa]
-                    alo, ahi = ra[edge.left_lo], ra[edge.left_hi]
-                    for pb in ps_b:
-                        rb = rows_r[pb]
-                        if self._truthy(pred(alo, ahi,
-                                             rb[edge.right_lo],
-                                             rb[edge.right_hi])):
-                            note(pa, pb)
-
-            scalar_pairs(a_irr, sel_by[rvar])
-            scalar_pairs([e[2] for e in a_reg], b_irr)
+            self._sweep_scalar(edge, a_reg, a_irr, b_irr, rows_by, sel_by,
+                               note)
         for bucket in matches.values():
             bucket.sort()
         out: list[tuple] = []
@@ -980,6 +1030,36 @@ class Executor:
             if bucket:
                 out.extend(c + (p,) for p in bucket)
         return out
+
+    def _sweep_count(self, edge, combos, idx_of, var: str, rows_by,
+                     sel_by) -> int:
+        """``len(self._sweep_join(...))`` without building the combos.
+
+        :func:`repro.core.columnar.interval_join_counts` gives each
+        regular row of the bound side its number of matches, the
+        irregular rows are counted through the scalar predicate exactly
+        as :meth:`_sweep_join` matches them, and each combo contributes
+        the count of its bound-side row.
+        """
+        count_left = edge.left_var != var
+        bvar = edge.left_var if count_left else edge.right_var
+        (a_reg, a_irr), (b_reg, b_irr) = self._sweep_sides(edge, rows_by,
+                                                           sel_by)
+        per_row = interval_join_counts(
+            [e[0] for e in a_reg], [e[1] for e in a_reg],
+            [e[0] for e in b_reg], [e[1] for e in b_reg],
+            predicate=edge.op, side="a" if count_left else "b")
+        counts = [0] * len(rows_by[bvar])
+        for e, n in zip(a_reg if count_left else b_reg, per_row):
+            counts[e[2]] = n
+        if a_irr or b_irr:
+            def note(pa, pb):
+                counts[pa if count_left else pb] += 1
+
+            self._sweep_scalar(edge, a_reg, a_irr, b_irr, rows_by, sel_by,
+                               note)
+        bidx = idx_of[bvar]
+        return sum(counts[c[bidx]] for c in combos)
 
     def _vector_calendar_filter(self, stmt: Retrieve, combos, rows_by,
                                 calendar_index):
@@ -1017,6 +1097,7 @@ class Executor:
             for f in plan.filters_of(var):
                 out.append((f.term, f.strategy))
         edges_left = list(plan.edges)
+        counted = self._counted_edge(stmt, plan)
         bound = {plan.order[0]}
         base_pair = True
         for var in plan.order[1:]:
@@ -1026,6 +1107,8 @@ class Executor:
             for rank, edge in enumerate(applicable):
                 if rank > 0:
                     strategy = vector.STRAT_SEQUENTIAL
+                elif edge is counted:
+                    strategy = f"{vector.STRAT_SWEEP} (count only)"
                 elif isinstance(edge, vector.EquiEdge):
                     strategy = (vector.STRAT_MERGE
                                 if base_pair and

@@ -15,7 +15,9 @@ run it as a vectorized pipeline instead:
   sort-merge joins fed by both relations' :class:`OrderedIndex` lanes),
   and ``overlaps(a.lo, a.hi, b.lo, b.hi)`` / ``during(...)`` conjuncts
   become Piatov-style endpoint sweeps
-  (:func:`repro.core.columnar.interval_join_pairs`);
+  (:func:`repro.core.columnar.interval_join_pairs`, or
+  :func:`~repro.core.columnar.interval_join_counts` when a ``count()``
+  needs only how many pairs the last step makes);
 * **residue** — anything else on a single variable runs row-at-a-time
   over the surviving batch; a non-vectorizable *join-level* conjunct
   (e.g. ``a.k = b.k + 1``, or an ``or`` spanning two variables) rejects

@@ -18,9 +18,9 @@ key) and a ``priority`` (higher survives longer when the daemon sheds
 load).  The facade reads the manager and daemon through the session on
 every call, so it stays valid across ``Session.attach_database``.
 
-The old entry points (``define_event_rule`` / ``define_temporal_rule``)
-still work but emit :class:`DeprecationWarning` — see docs/RULES.md for
-the migration table.
+The old positional entry points (``define_event_rule`` /
+``define_temporal_rule``) have been removed — see docs/RULES.md for the
+migration table.
 """
 
 from __future__ import annotations

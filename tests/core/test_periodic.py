@@ -13,7 +13,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.catalog import (
+    CalendarRegistry,
+    install_standard_calendars,
+    install_us_holidays,
+)
 from repro.core.granularity import Granularity
+from repro.core.matcache import MaterialisationCache
 from repro.core.periodic import (
     GREGORIAN_PERIOD_DAYS,
     PeriodicSet,
@@ -29,6 +35,18 @@ def _default_gate(monkeypatch):
     exercises the compiled path here.  The gate tests below set the
     env var explicitly where the override is the thing under test."""
     monkeypatch.delenv("REPRO_PERIODIC", raising=False)
+
+
+@pytest.fixture()
+def cached_registry(system87) -> CalendarRegistry:
+    """The shared ``registry`` fixture, but on a private matcache: the
+    memo and request-count assertions below must hold when the process
+    default cache is off (``REPRO_MATCACHE=0``)."""
+    reg = CalendarRegistry(system87, default_horizon_years=25,
+                           matcache=MaterialisationCache())
+    install_standard_calendars(reg)
+    install_us_holidays(reg, 1987, 2006)
+    return reg
 
 
 @pytest.fixture()
@@ -133,7 +151,8 @@ class TestCompilationOutcomes:
         so the compiled form (which cannot see the clip) must refuse."""
         assert registry.periodic_set("HOLIDAYS") is None
 
-    def test_fallback_is_memoised_and_reported(self, registry):
+    def test_fallback_is_memoised_and_reported(self, cached_registry):
+        registry = cached_registry
         registry.periodic_set("today:during:WEEKS")
         fallbacks = registry.instrumentation.metrics.counter(
             "periodic.fallback").value
@@ -148,7 +167,8 @@ class TestCompilationOutcomes:
         assert registry.instrumentation.metrics.counter(
             "periodic.compiled").value == before + 1
 
-    def test_peek_never_compiles(self, registry):
+    def test_peek_never_compiles(self, cached_registry):
+        registry = cached_registry
         metrics = registry.instrumentation.metrics
         compiled = metrics.counter("periodic.compiled").value
         fallback = metrics.counter("periodic.fallback").value
@@ -289,7 +309,8 @@ class TestNoMaterialisation:
     generates a window — observed through the matcache request counter,
     which ticks on every MaterialisationCache.generate call."""
 
-    def test_next_occurrence_does_not_generate(self, registry):
+    def test_next_occurrence_does_not_generate(self, cached_registry):
+        registry = cached_registry
         registry.periodic_set("[2]/DAYS:during:WEEKS")  # compile now
         before = registry.matcache.stats()["requests"]
         for after in (2000, 2100, 2345, -5, 9000):
@@ -297,11 +318,17 @@ class TestNoMaterialisation:
                 "[2]/DAYS:during:WEEKS", after) is not None
         assert registry.matcache.stats()["requests"] == before
 
-    def test_rule_next_trigger_does_not_generate(self, ruled_db):
-        db, manager, clock, cron = ruled_db
-        registry = db.calendars
-        manager.define_temporal_rule(
-            "weekly", "[2]/DAYS:during:WEEKS",
+    def test_rule_next_trigger_does_not_generate(self, cached_registry):
+        from repro.db import Database
+        from repro.rules import DBCron, RuleManager, SimulatedClock
+
+        registry = cached_registry
+        db = Database(calendars=registry)
+        manager = RuleManager(db)
+        clock = SimulatedClock(now=db.system.day_of("Jan 1 1993"))
+        DBCron(manager, clock, period=7)
+        manager.declare_temporal(
+            "weekly", expression="[2]/DAYS:during:WEEKS",
             callback=lambda database, tick: None)
         rule = manager.temporal_rules["weekly"]
         assert rule.periodic is not None
@@ -317,8 +344,8 @@ class TestNoMaterialisation:
         db, manager, clock, cron = ruled_db
         registry = db.calendars
         registry.periodic = False
-        manager.define_temporal_rule(
-            "weekly", "[2]/DAYS:during:WEEKS",
+        manager.declare_temporal(
+            "weekly", expression="[2]/DAYS:during:WEEKS",
             callback=lambda database, tick: None)
         rule = manager.temporal_rules["weekly"]
         assert rule.periodic is None
@@ -332,7 +359,8 @@ class TestExplainBackend:
     def _session(self):
         from repro.session import Session
 
-        return Session(holiday_years=(1987, 1996))
+        return Session(holiday_years=(1987, 1996), optimize=True,
+                       matcache=MaterialisationCache())
 
     def test_backend_periodic_after_warm_eval(self):
         session = self._session()

@@ -1,15 +1,18 @@
 """Unit tests for the vectorized retrieve pipeline (REPRO_VECTOR_DB).
 
 Covers the batch kernels' empty/single-row edges, plan classification
-and fallback reasons, EXPLAIN strategy reporting, the labelled
-``db.join.strategy`` / ``db.batch.rows`` metrics, batch index
-maintenance (``insert_many`` / ``insert_batch``) and NULL semantics.
+and fallback reasons, EXPLAIN strategy reporting, the counted final
+sweep of a ``count()`` retrieve and when it must materialise instead,
+the labelled ``db.join.strategy`` / ``db.batch.rows`` metrics, batch
+index maintenance (``insert_many`` / ``insert_batch``) and NULL
+semantics.
 """
 
 import pytest
 
 from repro.core.columnar import batch_membership, interval_join_pairs
 from repro.db import Database, ExecutionError
+from repro.db import executor as executor_module
 from repro.db import vector
 from repro.db.index import IntervalIndex, OrderedIndex
 from repro.db.ql.parser import parse_statement
@@ -315,6 +318,44 @@ class TestEngineParity:
                     "where e.dept = d.id")
         assert vec == row
 
+    def test_counted_overlaps_never_builds_pairs(self, joined,
+                                                 monkeypatch):
+        def no_pairs(*args, **kwargs):
+            raise AssertionError("count() built interval join pairs")
+
+        joined.insert("emp", name="inv", dept=7, lo=40, hi=2)
+        joined.insert("emp", name="nul", dept=7, lo=None, hi=50)
+        monkeypatch.setattr(executor_module, "interval_join_pairs",
+                            no_pairs)
+        q = ("retrieve (count() as n) from a in emp, b in emp "
+             "where overlaps(a.lo, a.hi, b.lo, b.hi)")
+        vec, row = both_engines(joined, q)
+        assert vec == row and vec[0]["n"] > 0
+
+    def test_hooked_count_fires_once_per_combo(self, joined, monkeypatch):
+        joined.create_table("slot", [("lo", "abstime"), ("hi", "abstime")])
+        for lo, hi in ((1, 8), (10, 22), (24, 40)):
+            joined.insert("slot", lo=lo, hi=hi)
+        seen = []
+        joined.relation("slot").hooks["retrieve"].append(seen.append)
+        monkeypatch.setattr(executor_module, "interval_join_counts",
+                            _counts_forbidden)
+        q = ("retrieve (count() as n) from e in emp, s in slot "
+             "where overlaps(e.lo, e.hi, s.lo, s.hi)")
+        n = joined.execute(q).rows[0]["n"]
+        assert "(count only)" not in joined.explain(q)
+        assert n == len(seen) == 7
+
+    def test_secondary_edge_on_last_step_materialises(self, joined,
+                                                      monkeypatch):
+        monkeypatch.setattr(executor_module, "interval_join_counts",
+                            _counts_forbidden)
+        q = ("retrieve (count() as n) from a in emp, b in emp "
+             "where overlaps(a.lo, a.hi, b.lo, b.hi) and a.dept = b.dept")
+        vec, row = both_engines(joined, q)
+        assert vec == row
+        assert "(count only)" not in joined.explain(q)
+
     def test_order_by_identical_order(self, joined):
         vec, row = both_engines(
             joined, "retrieve (e.name, d.site) from e in emp, "
@@ -322,7 +363,43 @@ class TestEngineParity:
         assert vec == row
 
 
+def _counts_forbidden(*args, **kwargs):
+    raise AssertionError("ineligible retrieve took the counted sweep")
+
+
 class TestExplainStrategies:
+    @pytest.mark.parametrize("query, counted", [
+        ("retrieve (count()) from a in emp, b in emp "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi)", True),
+        ("retrieve (count() as n) from a in emp, b in emp "
+         "where a.dept = 1 and during(b.lo, b.hi, a.lo, a.hi)", True),
+        ("retrieve (a.name) from a in emp, b in emp "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi)", False),
+        ("retrieve (count(), sum(a.dept) as s) from a in emp, b in emp "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi)", False),
+        ("retrieve (count()) from a in emp, b in emp "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi) on MONDAYS", False),
+        ("retrieve (count()) from a in emp, b in emp, d in dept "
+         "where overlaps(a.lo, a.hi, b.lo, b.hi) and b.dept = d.id",
+         False),
+    ])
+    def test_count_only_sweep_matches_runtime(self, joined, monkeypatch,
+                                              query, counted):
+        calls = []
+        real = executor_module.interval_join_counts
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["predicate"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "interval_join_counts", spy)
+        plan = joined.explain(query)
+        assert ("endpoint sweep (count only)" in plan) is counted
+        assert "endpoint sweep" in plan
+        vec, row = both_engines(joined, query)
+        assert vec == row
+        assert bool(calls) is counted
+
     def test_strategies_reported(self, joined):
         plan = joined.explain(
             "retrieve (a.name, b.name) from a in emp, b in emp "

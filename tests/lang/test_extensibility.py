@@ -97,8 +97,8 @@ class TestCustomAdtInDatabase:
                               lambda s: s[:1].lower() in "aeiou")
         db.create_table("names", [("n", "text")])
         db.create_table("vowels", [("n", "text")])
-        manager.define_event_rule(
-            "vowel_watch", "append", "names",
+        manager.declare_event(
+            "vowel_watch", event="append", relation="names",
             condition="is_vowelish(new.n)",
             actions=["append vowels (n = new.n)"])
         for name in ("ada", "grace", "edsger"):

@@ -7,10 +7,13 @@ representations agree for every registered listop (strict and relaxed,
 interval and calendar references), the set operations (including mixed
 representations), selection and ``caloperate``.  Deterministic edge
 cases — empty calendars, adjacent and touching intervals — are pinned
-explicitly at the bottom.
+explicitly at the bottom.  The interval-join counting kernel is checked
+against a tally of the pair kernel it replaces for ``count()``.
 """
 
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+
+from hypothesis import example, given, settings, strategies as st
 
 import pytest
 
@@ -144,6 +147,45 @@ class TestCaloperateParity:
                 caloperate(col, tuple(pattern))
             return
         assert caloperate(col, tuple(pattern)) == expected
+
+
+# Regular join lanes, lo-sorted: small starts and widths so touching
+# endpoints and point intervals (lo == hi) are common.
+join_lanes = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 4)), max_size=12).map(
+    lambda spans: sorted((lo, lo + width) for lo, width in spans))
+
+
+class TestIntervalJoinCounts:
+    """``interval_join_counts`` is a per-side tally of
+    ``interval_join_pairs`` for both predicates."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=join_lanes, b=join_lanes)
+    @example(a=[], b=[])
+    @example(a=[(1, 3)], b=[])
+    @example(a=[], b=[(1, 3)])
+    @example(a=[(1, 5), (5, 5), (5, 9)], b=[(0, 1), (5, 5), (9, 12)])
+    def test_counts_tally_pairs(self, a, b):
+        lanes = ([lo for lo, _ in a], [hi for _, hi in a],
+                 [lo for lo, _ in b], [hi for _, hi in b])
+        for predicate in ("overlaps", "during"):
+            pairs = columnar.interval_join_pairs(*lanes,
+                                                 predicate=predicate)
+            for side, n, tally in (
+                    ("a", len(a), Counter(i for i, _ in pairs)),
+                    ("b", len(b), Counter(j for _, j in pairs))):
+                counts = columnar.interval_join_counts(
+                    *lanes, predicate=predicate, side=side)
+                assert counts == [tally[k] for k in range(n)], \
+                    (predicate, side)
+
+    def test_unknown_predicate_and_side(self):
+        with pytest.raises(ValueError, match="predicate"):
+            columnar.interval_join_counts([1], [2], [1], [2],
+                                          predicate="meets")
+        with pytest.raises(ValueError, match="side"):
+            columnar.interval_join_counts([1], [2], [1], [2], side="c")
 
 
 class TestEdgeCases:

@@ -102,6 +102,21 @@ QUERIES = [
     # aggregate fast path
     ("retrieve (count() as n) from a in ta, b in tb where a.k = b.k",
      None, False),
+    # counted final sweep: count() over overlaps/during, both argument
+    # orders, a filtered side, and the sweep as the last of three steps
+    ("retrieve (count()) from a in ta, b in tb "
+     "where overlaps(a.lo, a.hi, b.lo, b.hi)", None, False),
+    ("retrieve (count()) from a in ta, b in tb "
+     "where during(a.lo, a.hi, b.lo, b.hi)", None, False),
+    ("retrieve (count()) from a in ta, b in tb "
+     "where during(b.lo, b.hi, a.lo, a.hi)", None, False),
+    ("retrieve (count()) from a in ta, b in tb "
+     "where a.k = 2 and overlaps(a.lo, a.hi, b.lo, b.hi)", None, False),
+    ("retrieve (count()) from a in ta, b in tb, c in tb "
+     "where a.k = b.k and overlaps(b.lo, b.hi, c.lo, c.hi)", None, False),
+    # on <calendar> is not eligible: the sweep materialises its combos
+    ("retrieve (count()) from a in ta, b in tb "
+     "where overlaps(a.lo, a.hi, b.lo, b.hi) on MONDAYS", None, False),
     # historical scan: both engines take the sequential path
     ("retrieve (a.k) from a in ta as of 1", None, False),
     # exact row order under a unique order-by key pair

@@ -146,24 +146,8 @@ class TestSchedulerSelection:
 
 
 class TestDeprecatedShims:
-    def test_define_temporal_rule_warns_and_works(self, session):
-        fired = []
-        with pytest.warns(DeprecationWarning, match="declare_temporal"):
-            session.manager.define_temporal_rule(
-                "ping", "PINGS", callback=lambda d, t: fired.append(t),
-                after=1)
-        session.cron.run_until(12)
-        assert fired == [5, 9]
-
-    def test_define_event_rule_warns_and_works(self, session):
-        session.db.create_table("emp", [("name", "text")])
-        seen = []
-        with pytest.warns(DeprecationWarning, match="declare_event"):
-            session.manager.define_event_rule(
-                "audit", "append", "emp",
-                callback=lambda d, e: seen.append(e.new["name"]))
-        session.db.insert("emp", name="carol")
-        assert seen == ["carol"]
+    """The positional ``define_*_rule`` shims are gone; what replaced
+    them must not warn."""
 
     def test_new_entry_points_do_not_warn(self, session, recwarn):
         session.manager.declare_temporal("ping", expression="PINGS",

@@ -176,8 +176,8 @@ class TestObservability:
 
     def test_dbcron_fire_metrics(self, session):
         fired = []
-        session.manager.define_temporal_rule(
-            "weekly", "[1]/DAYS:during:WEEKS",
+        session.manager.declare_temporal(
+            "weekly", expression="[1]/DAYS:during:WEEKS",
             callback=lambda db, tick: fired.append(tick))
         session.cron.run_until(session.clock.now + 30)
         assert fired
