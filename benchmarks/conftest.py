@@ -78,7 +78,7 @@ def record_benchmark(name: str, samples: "list[float]",
     ``samples`` are per-round wall times in seconds; ``intervals`` (when
     given) is the number of calendar intervals produced per round, from
     which ``intervals_per_s`` is derived.  Extra keyword pairs are kept
-    verbatim (e.g. ``workers=4``, ``speedup=2.3``).
+    verbatim (e.g. ``batch=32``, ``speedup=2.3``).
     """
     if not samples:
         raise ValueError(f"benchmark {name!r} recorded no samples")

@@ -8,7 +8,7 @@ strategy at 10k / 100k (and, gated, 1M) registered rules:
   probed every period for due rules, feeding a binary heap.  The
   catalog work belongs in this leg because the probe *requires* it —
   RULE_TIME is the heap's scheduling source of truth.
-* **wheel leg** — the sharded hierarchical wheel on its own: arms and
+* **wheel leg** — the hierarchical wheel on its own: arms and
   re-arms go straight into O(1) buckets and no catalog is consulted
   (in the live daemon RULE_TIME survives only as a durability record
   off the scheduling path).
@@ -95,7 +95,7 @@ class _HeapState:
                 wave = self.sched.pop_wave(self.now)
                 if not wave:
                     break
-                for tick, name, _ in wave:
+                for tick, name in wave:
                     fires += 1
                     drifts.append(self.now - tick)
                     nxt = tick + self.strides[name]
@@ -110,8 +110,8 @@ class _HeapState:
 class _WheelState:
     """Wheel scheduling core: buckets only, no catalog in the path."""
 
-    def __init__(self, n_rules: int, shards: int = 4) -> None:
-        self.sched = WheelSchedule(1, shards=shards)
+    def __init__(self, n_rules: int) -> None:
+        self.sched = WheelSchedule(1)
         self.now = 1
         self.strides: dict[str, int] = {}
         for i in range(n_rules):
@@ -134,7 +134,7 @@ class _WheelState:
                 wave = self.sched.pop_wave(self.now)
                 if not wave:
                     break
-                for tick, name, _ in wave:
+                for tick, name in wave:
                     fires += 1
                     drifts.append(self.now - tick)
                     self.sched.schedule(name, tick + self.strides[name])
@@ -202,7 +202,7 @@ def test_wheel_one_million_rules_bounded():
     """1M armed rules: completes, bounded memory, drift recorded."""
     rss_before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     t0 = perf_counter()
-    state = _WheelState(1_000_000, shards=8)
+    state = _WheelState(1_000_000)
     arm_seconds = perf_counter() - t0
     stats = _measure(state, rounds=2)
     rss_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

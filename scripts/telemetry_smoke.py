@@ -153,8 +153,7 @@ def main() -> int:
     port = int(sys.argv[sys.argv.index("--port") + 1]) \
         if "--port" in sys.argv \
         else int(os.environ.get("REPRO_TELEMETRY_PORT", "0"))
-    session = Session(telemetry_port=port, slow_query_threshold=0.0,
-                      workers=4)
+    session = Session(telemetry_port=port, slow_query_threshold=0.0)
     try:
         server = session.server or session.start_telemetry_server(port)
         session.instrumentation.enable_tracing()  # exemplar source

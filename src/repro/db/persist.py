@@ -240,8 +240,10 @@ def restore_database(payload: dict) -> Database:
 def save_database(db: Database, path: str) -> SaveReport:
     """Serialise ``db`` to a JSON file; returns what was saved/skipped."""
     payload, report = dump_database(db)
+    # json.dumps without indent takes the C encoder; json.dump to a
+    # handle, or any indent, runs the pure-Python one.
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1)
+        handle.write(json.dumps(payload))
     return report
 
 

@@ -359,8 +359,8 @@ class Plan:
     A compiled plan is **frozen by convention**: nothing mutates
     ``steps`` after the planner returns it.  That is what lets the
     catalog cache one plan per expression and lets
-    ``Session.eval_many`` hand the same plan object to several worker
-    threads at once — each execution's mutable state lives in the
+    callers on several threads run the same plan object at once — each
+    execution's mutable state lives in the
     :class:`PlanVM` run, never on the plan.
     """
 
@@ -386,8 +386,8 @@ class PlanVM:
 
     **Re-entrancy contract**: a VM instance is cheap and single-use —
     construct one per ``run`` call.  The register file is a local of
-    :meth:`run`, so concurrent runs of the *same* plan (the batch
-    engine's worker threads) never share execution state; the only
+    :meth:`run`, so concurrent runs of the *same* plan (from callers'
+    own threads) never share execution state; the only
     shared mutable structure is the context's materialisation dict,
     whose entries are idempotent (same key → equal calendar), making
     duplicate concurrent writes harmless.

@@ -9,7 +9,7 @@ Prometheus scraper instead of a catalog:
 * ``GET /metrics``  — Prometheus text exposition (0.0.4);
 * ``GET /healthz``  — liveness JSON: ``200`` when healthy, ``503`` with
   a ``problems`` list when degraded (excessive DBCRON clock drift, a
-  closed worker pool, …);
+  violated SLO, …);
 * ``GET /slowlog``  — captured slow-query records, JSON;
 * ``GET /traces``   — the trace ring as OTLP-style JSON;
 * ``GET /events``   — the telemetry ring buffer as a JSON array;
@@ -61,8 +61,8 @@ class TelemetryServer:
     * ``traces``       — a JSON-ready dict for ``/traces``;
     * ``events``       — a JSON-ready list for ``/events`` (optional);
     * ``rules``        — a JSON-ready dict for ``/rules`` (optional):
-      the ``Session.rules.stats()`` report — scheduler kind, shard
-      sizes, shed/throttle counters;
+      the ``Session.rules.stats()`` report — scheduler kind, armed
+      count, shed/throttle counters;
     * ``profile``      — a callable taking a ``seconds`` float and
       returning collapsed-stack text for ``/profile`` (optional);
     * ``flamegraph``   — collapsed-stack text of the profiler's full

@@ -12,11 +12,11 @@ an instrument once and update it lock-cheap in hot loops.  Three kinds:
   tuned for wall-clock timings measured with
   :func:`time.perf_counter` (1µs … 10s).
 
-Passing ``labels=("tenant", "shard")`` to the registry constructors
+Passing ``labels=("tenant", "rule")`` to the registry constructors
 returns a *family* (:class:`CounterFamily` / :class:`GaugeFamily` /
 :class:`HistogramFamily`) instead of a single instrument.  A family
 holds one child instrument per label-value tuple
-(``family.labels("acme", "3")``); children are plain instruments, so
+(``family.labels("acme", "r1")``); children are plain instruments, so
 hot call sites bind a child once and pay exactly the unlabelled cost
 thereafter.  Every family has a cardinality governor: at most
 ``max_series`` children are admitted, after which unseen label sets

@@ -8,7 +8,7 @@ schedule behind one strategy protocol:
   within the next period and loads them into a binary heap.  Selected
   with ``REPRO_WHEEL=0`` (or ``DBCron(scheduler="heap")``).
 * :class:`~repro.rules.wheel.WheelSchedule` — the default since the
-  timing-wheel rework: a hash-sharded hierarchical timing wheel that
+  timing-wheel rework: a hierarchical timing wheel that
   holds the *entire* future, so registration and re-arming go straight
   into an O(1) bucket and the periodic RULE_TIME probe disappears from
   the hot path entirely (it survives only as a cheap due-count report
@@ -18,16 +18,11 @@ As the clock advances, due entries are popped and fired; each fired rule
 computes its next trigger point (via the calendar pipeline), RULE_TIME
 is updated, and the re-arm notification re-enters the schedule.
 
-Independent due rules can fire **in parallel**: :meth:`DBCron.fire_due`
-pops all entries sharing the earliest due fire tick as one *wave* and
-dispatches the wave across a :class:`~repro.runtime.WorkerPool`.  Under
-the wheel the wave is batched **per shard** — one pool task per wheel
-shard, each firing its batch sequentially — which keeps dispatch
-overhead constant as waves grow to alerting scale; the heap keeps its
-original one-task-per-rule dispatch.  Processing wave-by-wave preserves
-the deterministic cross-tick firing order of the sequential daemon, and
-per-wave results are folded back on the dispatching thread in wave
-order so sequential and parallel runs count identically.
+:meth:`DBCron.fire_due` pops all entries sharing the earliest due fire
+tick as one *wave* and fires the wave's rules in arm order on the
+calling thread, like the paper's single daemon.  Processing
+wave-by-wave keeps the cross-tick firing order deterministic and gives
+admission control a whole tick's demand to ration.
 
 Admission control is optional and non-blocking: with a
 :class:`~repro.rules.throttle.TenantThrottle` attached, each wave is
@@ -68,7 +63,6 @@ from repro.db.database import Database
 from repro.rules.clock import SimulatedClock
 from repro.rules.manager import RuleManager
 from repro.rules.wheel import WheelSchedule
-from repro.runtime import WorkerPool, get_default_pool
 
 __all__ = ["DBCron", "HeapSchedule", "default_scheduler"]
 
@@ -130,9 +124,9 @@ class HeapSchedule:
             self._scheduled.pop(name, None)
             self._fired_at.pop(name, None)
 
-    def pop_wave(self, now: int) -> list[tuple[int, str, int]]:
-        """Every live entry of the earliest due tick (shard always 0)."""
-        wave: list[tuple[int, str, int]] = []
+    def pop_wave(self, now: int) -> list[tuple[int, str]]:
+        """Every live entry of the earliest due tick, in arm order."""
+        wave: list[tuple[int, str]] = []
         with self._lock:
             wave_tick = None
             while self._heap and self._heap[0][0] <= now:
@@ -145,7 +139,7 @@ class HeapSchedule:
                 del self._scheduled[name]
                 self._fired_at[name] = tick
                 wave_tick = tick
-                wave.append((tick, name, 0))
+                wave.append((tick, name))
         return wave
 
     def __len__(self) -> int:
@@ -161,7 +155,7 @@ class HeapSchedule:
     def stats(self) -> dict:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
         with self._lock:
-            return {"kind": "heap", "shards": 1,
+            return {"kind": "heap",
                     "scheduled": len(self._scheduled),
                     "heap_entries": len(self._heap)}
 
@@ -170,9 +164,7 @@ class DBCron:
     """The temporal-rule daemon."""
 
     def __init__(self, manager: RuleManager, clock: SimulatedClock,
-                 period: int = 7, pool: WorkerPool | None = None,
-                 scheduler: str | None = None,
-                 shards: int | None = None,
+                 period: int = 7, scheduler: str | None = None,
                  throttle=None) -> None:
         if period < 1:
             raise AxisError("the probe period must be at least 1 tick")
@@ -180,17 +172,13 @@ class DBCron:
         self.db: Database = manager.db
         self.clock = clock
         self.period = period
-        #: Worker pool for parallel wave firing (size 1 = sequential).
-        self.pool = pool if pool is not None else get_default_pool()
         kind = scheduler if scheduler is not None else default_scheduler()
         if kind not in ("wheel", "heap"):
             raise AxisError(f"unknown scheduler {kind!r} "
                             "(expected 'wheel' or 'heap')")
         self.scheduler = kind
         if kind == "wheel":
-            shard_count = shards if shards is not None \
-                else max(1, self.pool.size)
-            self.sched = WheelSchedule(clock.now, shards=shard_count)
+            self.sched = WheelSchedule(clock.now)
         else:
             self.sched = HeapSchedule()
         #: Optional per-tenant admission control (see
@@ -227,8 +215,7 @@ class DBCron:
         and returns the number of entries loaded.  Under the wheel the
         schedule is already complete — the probe merely reports how many
         armed rules fall inside the window and refreshes the gauges
-        (including the per-shard lag histogram), without touching the
-        database.
+        (including the lag histogram), without touching the database.
         """
         now = self.clock.now
         self._horizon = axis_add(now, self.period)
@@ -256,30 +243,13 @@ class DBCron:
         return loaded
 
     def _observe_wheel(self, inst, now: int) -> None:
-        """Wheel-specific gauges: cascades, overflow, per-shard lag.
-
-        Lag is recorded twice: the flat histogram keeps the historical
-        distribution view, while the labelled gauge family exposes each
-        shard's *current* lag as its own Prometheus series so a stuck
-        shard is identifiable by number.
-        """
+        """Wheel-specific gauges: cascades, overflow and scheduling lag."""
         metrics = inst.metrics
-        metrics.gauge("dbcron.wheel.shards").set(self.sched.shards)
         metrics.gauge("dbcron.wheel.cascades").set(self.sched.cascades())
         metrics.gauge("dbcron.wheel.overflow").set(
             self.sched.overflow_size())
-        lag_hist = metrics.histogram("dbcron.wheel.shard_lag_ticks")
-        lag_family = metrics.gauge(
-            "dbcron.wheel.shard_lag", "Current lag ticks per wheel shard",
-            labels=("shard",))
-        sizes = metrics.gauge(
-            "dbcron.wheel.shard_size", "Armed rules per wheel shard",
-            labels=("shard",))
-        for shard, lag in enumerate(self.sched.shard_lags(now)):
-            lag_hist.observe(lag)
-            lag_family.labels(str(shard)).set(float(lag))
-        for shard, size in enumerate(self.sched.shard_sizes()):
-            sizes.labels(str(shard)).set(float(size))
+        metrics.histogram("dbcron.wheel.shard_lag_ticks").observe(
+            self.sched.lag(now))
 
     def _on_schedule_change(self, name: str, next_fire: int | None) -> None:
         """A rule was declared/dropped/rescheduled while we are awake."""
@@ -295,21 +265,12 @@ class DBCron:
     def _on_clock(self, now: int) -> None:
         self.fire_due()
 
-    def _fire_one(self, fire_tick: int, name: str, now: int,
-                  parent_span) -> "tuple[int | None, float]":
-        """Fire one rule; (next_fire, elapsed seconds).
-
-        Runs on a pool worker during parallel waves; ``parent_span``
-        (when tracing) adopts this worker's ``rule.fire`` span into the
-        dispatching thread's trace tree.
-        """
+    def _fire_one(self, fire_tick: int, name: str,
+                  now: int) -> "tuple[int | None, float]":
+        """Fire one rule; (next_fire, elapsed seconds)."""
         tracer = self.db.instrumentation.tracer
         t0 = perf_counter()
-        if tracer is not None and parent_span is not None:
-            with tracer.child_span(parent_span, "rule.fire", rule=name,
-                                   tick=fire_tick, drift=now - fire_tick):
-                next_fire = self.manager.fire_temporal(name, fire_tick)
-        elif tracer is not None:
+        if tracer is not None:
             with tracer.span("rule.fire", rule=name, tick=fire_tick,
                              drift=now - fire_tick):
                 next_fire = self.manager.fire_temporal(name, fire_tick)
@@ -324,22 +285,16 @@ class DBCron:
         earliest due fire tick.  With a throttle attached, each wave is
         first filtered through the owning tenants' fire budgets and the
         over-budget remainder is shed (rescheduled, not fired).  The
-        surviving wave fires across the worker pool when it holds more
-        than one rule and the pool has more than one worker; otherwise
-        the rules fire sequentially on this thread.  Records per-fire
-        latency (``dbcron.fire_seconds``) and how far behind schedule
-        the daemon is running (``dbcron.fire_drift_ticks``); with
-        tracing on, each fire gets a ``rule.fire`` span (parallel waves
-        roll the per-worker spans up under one ``dbcron.fire_wave``).
+        surviving wave fires in arm order on this thread.  Records
+        per-fire latency (``dbcron.fire_seconds``) and how far behind
+        schedule the daemon is running (``dbcron.fire_drift_ticks``);
+        with tracing on, each fire gets a ``rule.fire`` span.
         """
         now = self.clock.now
         inst = self.db.instrumentation
         fire_hist = inst.metrics.histogram("dbcron.fire_seconds")
         drift_gauge = inst.metrics.gauge("dbcron.fire_drift_ticks")
         fire_counter = inst.metrics.counter("dbcron.fires")
-        shard_fires = inst.metrics.counter(
-            "dbcron.shard_fires", "Rules fired per scheduler shard",
-            labels=("shard",))
         fired = 0
         while True:
             wave = self.sched.pop_wave(now)
@@ -353,18 +308,10 @@ class DBCron:
             if inst.pipeline is not None:
                 inst.pipeline.emit("dbcron.wave", tick=wave[0][0],
                                    rules=len(wave), drift=now - wave[0][0])
-            if len(wave) > 1 and self.pool.size > 1:
-                results = self._fire_wave_parallel(wave, now)
-            else:
-                results = [self._fire_one(tick, name, now, None)
-                           for tick, name, _ in wave]
-            # Stats and metrics are updated on this thread, in wave
-            # order, so sequential and parallel runs count identically.
-            for (next_fire, elapsed), (tick, name, shard) in zip(results,
-                                                                 wave):
+            for tick, name in wave:
+                next_fire, elapsed = self._fire_one(tick, name, now)
                 fire_hist.observe(elapsed)
                 fire_counter.inc()
-                shard_fires.labels(str(shard)).inc()
                 fired += 1
                 self.stats.fires += 1
                 if next_fire is not None:
@@ -388,7 +335,7 @@ class DBCron:
         """
         rules = self.manager.temporal_rules
         by_tenant: dict[str, list[int]] = {}
-        for position, (_, name, _) in enumerate(wave):
+        for position, (_, name) in enumerate(wave):
             rule = rules.get(name)
             tenant = getattr(rule, "tenant", "default") if rule else \
                 "default"
@@ -409,7 +356,7 @@ class DBCron:
             return wave
         shed_counter = inst.metrics.counter("dbcron.sheds")
         for position in sorted(shed_positions):
-            tick, name, _ = wave[position]
+            tick, name = wave[position]
             self.stats.sheds += 1
             shed_counter.inc()
             self.manager.skip_temporal(name, tick)
@@ -418,43 +365,6 @@ class DBCron:
                                    now=now)
         return [entry for position, entry in enumerate(wave)
                 if position not in shed_positions]
-
-    def _fire_wave_parallel(self, wave, now: int) -> list:
-        """Dispatch one wave across the pool; per-entry results in order.
-
-        Wheel waves arrive pre-sharded: entries are grouped by wheel
-        shard and each shard's batch runs as one pool task (constant
-        dispatch overhead per wave).  Heap waves carry a single shard id
-        and fall back to one task per rule — the pre-wheel behaviour.
-        """
-        batches: dict[int, list[tuple[int, int, str]]] = {}
-        for position, (tick, name, shard) in enumerate(wave):
-            batches.setdefault(shard, []).append((position, tick, name))
-        if len(batches) == 1:
-            work = [[(position, tick, name)]
-                    for position, (tick, name, _) in enumerate(wave)]
-        else:
-            work = list(batches.values())
-
-        def fire_batch(batch, parent_span=None):
-            return [(position, self._fire_one(tick, name, now,
-                                              parent_span))
-                    for position, tick, name in batch]
-
-        tracer = self.db.instrumentation.tracer
-        if tracer is not None:
-            with tracer.span("dbcron.fire_wave", tick=wave[0][0],
-                             rules=len(wave),
-                             batches=len(work)) as wave_span:
-                settled = self.pool.sharded_map(
-                    lambda batch: fire_batch(batch, wave_span), work)
-        else:
-            settled = self.pool.sharded_map(fire_batch, work)
-        results: list = [None] * len(wave)
-        for batch_results in settled:
-            for position, result in batch_results:
-                results[position] = result
-        return results
 
     # -- driving ------------------------------------------------------------------
 

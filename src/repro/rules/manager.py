@@ -33,13 +33,13 @@ class RuleManager:
         self.event_rules: dict[str, EventRule] = {}
         self.temporal_rules: dict[str, TemporalRule] = {}
         self.max_cascade_depth = max_cascade_depth
-        #: Cascade depth is tracked per *thread*: DBCRON may fire
-        #: independent rules on pool workers concurrently, and each
-        #: worker's rule chain is a separate cascade.
+        #: Cascade depth is tracked per *thread*: callers may fire
+        #: rules from their own threads concurrently, and each
+        #: thread's rule chain is a separate cascade.
         self._local = threading.local()
         #: Serialises database-mutating rule work (``rule.fire``,
         #: RULE_TIME updates, schedule notifications) when rules fire on
-        #: pool threads; re-entrant so a cascading rule on one thread is
+        #: several threads; re-entrant so a cascading rule on one thread is
         #: unaffected.  The expensive calendar-pipeline work
         #: (``next_trigger``) deliberately runs outside it.
         self._mutate_lock = threading.RLock()
@@ -190,7 +190,7 @@ class RuleManager:
     def fire_temporal(self, name: str, at_tick: int) -> int | None:
         """Fire a temporal rule and reschedule it; new next-fire or None.
 
-        Safe to call from DBCRON pool workers for *distinct* rules: the
+        Safe to call from several threads for *distinct* rules: the
         calendar-pipeline work (``next_trigger``, the dominant cost) runs
         unlocked on the calling thread — the registry and matcache below
         it are thread-safe — while the database mutations (``rule.fire``,

@@ -16,13 +16,6 @@ overflow heap — DBCRON no longer needs a probe horizon at all: rule
 (re)arms go straight into a bucket and RULE_TIME becomes a durability
 record instead of the scheduling hot path.
 
-Scale-out is by **hash sharding**: rule names are distributed across N
-independent shards (stable CRC32, so runs are reproducible under hash
-randomisation), each shard owning its own wheel, its own lock and its
-own liveness maps.  Same-tick waves are assembled per shard, which is
-what lets :class:`~repro.rules.dbcron.DBCron` fire one batch per shard
-across the :class:`~repro.runtime.WorkerPool`.
-
 Staleness is handled by **generation counters**, shared with the fixed
 heap schedule (see ``docs/IMPLEMENTATION_NOTES.md`` §11): every push
 records a per-name generation, cancel/redefine bumps it, and dead
@@ -40,7 +33,6 @@ from __future__ import annotations
 
 import heapq
 import threading
-import zlib
 
 from repro.core.errors import AxisError
 
@@ -63,12 +55,11 @@ def _unlin(lin: int) -> int:
 
 
 class HierarchicalWheel:
-    """One shard's wheel: slotted time, cascading, far-future overflow.
+    """Slotted time, cascading, far-future overflow.
 
     Entries are opaque ``(seq, name, gen)`` triples keyed by a linear
     tick; the wheel never inspects them beyond the tick.  Not
-    thread-safe — the owning :class:`WheelSchedule` shard serialises
-    access.
+    thread-safe — the owning :class:`WheelSchedule` serialises access.
     """
 
     def __init__(self, now_lin: int,
@@ -184,29 +175,8 @@ class HierarchicalWheel:
         return len(self._overflow)
 
 
-class _Shard:
-    """One wheel plus its liveness maps, guarded by one lock."""
-
-    __slots__ = ("wheel", "lock", "scheduled", "fired_at", "arm_counter")
-
-    def __init__(self, now_lin: int, slots: tuple[int, ...]) -> None:
-        self.wheel = HierarchicalWheel(now_lin, slots)
-        self.lock = threading.Lock()
-        #: Monotonic generation source: every arm gets a fresh value, so
-        #: a dead wheel entry can never impersonate a later incarnation.
-        self.arm_counter = 0
-        #: Live armament per rule name: (axis tick, generation).  An
-        #: entry in the wheel is real only while its (tick, gen) pair is
-        #: recorded here — cancel/redefine just re-points or drops the
-        #: record and the wheel entry dies in place.
-        self.scheduled: dict[str, tuple[int, int]] = {}
-        #: Last tick actually handed to the daemon per rule name; arms
-        #: at or before it are refused (anti double-fire watermark).
-        self.fired_at: dict[str, int] = {}
-
-
 class WheelSchedule:
-    """The sharded wheel behind :class:`~repro.rules.dbcron.DBCron`.
+    """The timing wheel behind :class:`~repro.rules.dbcron.DBCron`.
 
     Implements the schedule strategy protocol shared with
     :class:`~repro.rules.dbcron.HeapSchedule`:
@@ -214,7 +184,7 @@ class WheelSchedule:
     * ``schedule(name, tick)`` — arm (idempotent; False when refused),
     * ``cancel(name)`` — disarm and forget the fired-at watermark,
     * ``pop_wave(now)`` — the earliest due same-tick wave, as
-      ``(tick, name, shard)`` triples in global arm order,
+      ``(tick, name)`` pairs in arm order,
     * ``len()`` — live armed rules.
 
     Unlike the heap, the wheel holds the *entire* future: DBCRON's probe
@@ -226,157 +196,113 @@ class WheelSchedule:
     #: The daemon must not filter arms through its probe horizon.
     bounded_horizon = False
 
-    def __init__(self, now: int, shards: int = 1,
+    def __init__(self, now: int,
                  slots: tuple[int, ...] = DEFAULT_SLOTS) -> None:
-        if shards < 1:
-            raise AxisError("a wheel needs at least one shard")
-        now_lin = _lin(now)
         self._slots = slots
-        self._shards = [_Shard(now_lin, slots) for _ in range(shards)]
-        self._seq = 0
-        self._seq_lock = threading.Lock()
-
-    # -- sharding -------------------------------------------------------------
-
-    @property
-    def shards(self) -> int:
-        return len(self._shards)
-
-    def shard_of(self, name: str) -> int:
-        """Stable shard index of a rule name (CRC32, not ``hash``)."""
-        return zlib.crc32(name.encode("utf-8")) % len(self._shards)
-
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
+        self._wheel = HierarchicalWheel(_lin(now), slots)
+        #: Guards the wheel and both liveness maps.
+        self._lock = threading.Lock()
+        #: Monotonic generation source: every arm gets a fresh value, so
+        #: a dead wheel entry can never impersonate a later incarnation.
+        #: It doubles as the arm sequence that orders a wave.
+        self._arm_counter = 0
+        #: Live armament per rule name: (axis tick, generation).  An
+        #: entry in the wheel is real only while its (tick, gen) pair is
+        #: recorded here — cancel/redefine just re-points or drops the
+        #: record and the wheel entry dies in place.
+        self._scheduled: dict[str, tuple[int, int]] = {}
+        #: Last tick actually handed to the daemon per rule name; arms
+        #: at or before it are refused (anti double-fire watermark).
+        self._fired_at: dict[str, int] = {}
 
     # -- strategy protocol ----------------------------------------------------
 
     def schedule(self, name: str, tick: int) -> bool:
         """Arm ``name`` at axis ``tick``; False when dup or watermarked."""
-        shard = self._shards[self.shard_of(name)]
-        seq = self._next_seq()
-        with shard.lock:
-            current = shard.scheduled.get(name)
+        with self._lock:
+            current = self._scheduled.get(name)
             if current is not None and current[0] == tick:
                 return False  # already armed at this tick
-            fired = shard.fired_at.get(name)
+            fired = self._fired_at.get(name)
             if fired is not None and tick <= fired:
                 return False  # stale re-arm at/before the last fire
-            shard.arm_counter += 1
-            gen = shard.arm_counter
-            shard.scheduled[name] = (tick, gen)
-            shard.wheel.push(_lin(tick), seq, name, gen)
+            self._arm_counter += 1
+            gen = self._arm_counter
+            self._scheduled[name] = (tick, gen)
+            self._wheel.push(_lin(tick), gen, name, gen)
         return True
 
     def cancel(self, name: str) -> None:
         """Disarm ``name``; its wheel entries die in place."""
-        shard = self._shards[self.shard_of(name)]
-        with shard.lock:
-            shard.scheduled.pop(name, None)
-            shard.fired_at.pop(name, None)
+        with self._lock:
+            self._scheduled.pop(name, None)
+            self._fired_at.pop(name, None)
 
-    def pop_wave(self, now: int) -> list[tuple[int, str, int]]:
+    def pop_wave(self, now: int) -> list[tuple[int, str]]:
         """All live entries of the earliest due tick, in arm order.
 
-        Advances every shard's wheel to ``now``, filters dead entries
-        (generation or armament mismatch), picks the minimum due tick
-        across shards and returns that tick's entries as
-        ``(tick, name, shard)`` sorted by global arm sequence — the
-        same deterministic order the heap's (tick, seq) comparator
-        yields.  A ripe tick whose entries all died (cancelled or
-        re-pointed rules) is consumed and the next tick examined, so a
-        graveyard tick never masks a live later one.
+        Advances the wheel to ``now``, filters dead entries (generation
+        or armament mismatch) and returns the earliest ripe tick's
+        entries as ``(tick, name)`` sorted by arm sequence — the same
+        deterministic order the heap's (tick, seq) comparator yields.
+        A ripe tick whose entries all died (cancelled or re-pointed
+        rules) is consumed and the next tick examined, so a graveyard
+        tick never masks a live later one.
         """
         now_lin = _lin(now)
-        while True:
-            wave_tick: int | None = None
-            # Pass 1: advance and find the earliest ripe tick across
-            # shards.
-            for shard in self._shards:
-                with shard.lock:
-                    shard.wheel.advance_to(now_lin)
-                    tick_lin = shard.wheel.peek_tick()
-                if tick_lin is not None and \
-                        (wave_tick is None or tick_lin < wave_tick):
-                    wave_tick = tick_lin
-            if wave_tick is None:
-                return []
-            tick = _unlin(wave_tick)
-            # Pass 2: take that tick's bucket from each shard, dropping
-            # entries whose generation no longer matches the live
-            # armament.
-            wave: list[tuple[int, int, str, int]] = []
-            for index, shard in enumerate(self._shards):
-                with shard.lock:
-                    if shard.wheel.peek_tick() != wave_tick:
-                        continue
-                    for seq, name, gen in shard.wheel.take_tick(wave_tick):
-                        if shard.scheduled.get(name) != (tick, gen):
-                            continue  # cancelled or re-pointed: dead
-                        del shard.scheduled[name]
-                        shard.fired_at[name] = tick
-                        wave.append((seq, tick, name, index))
-            if wave:
-                wave.sort()
-                return [(tick, name, index)
-                        for _, tick, name, index in wave]
-            # All entries of wave_tick were dead: try the next tick.
+        with self._lock:
+            self._wheel.advance_to(now_lin)
+            while (tick_lin := self._wheel.peek_tick()) is not None:
+                tick = _unlin(tick_lin)
+                wave: list[tuple[int, str]] = []
+                for seq, name, gen in self._wheel.take_tick(tick_lin):
+                    if self._scheduled.get(name) != (tick, gen):
+                        continue  # cancelled or re-pointed: dead
+                    del self._scheduled[name]
+                    self._fired_at[name] = tick
+                    wave.append((seq, name))
+                if wave:
+                    wave.sort()
+                    return [(tick, name) for _, name in wave]
+        return []
 
     def __len__(self) -> int:
-        return sum(len(shard.scheduled) for shard in self._shards)
+        return len(self._scheduled)
 
     # -- introspection --------------------------------------------------------
 
     def due_within(self, now: int, horizon: int) -> int:
         """Live armed rules with tick <= now + horizon (probe report)."""
         bound = now + horizon
-        count = 0
-        for shard in self._shards:
-            with shard.lock:
-                count += sum(1 for tick, _ in shard.scheduled.values()
-                             if tick <= bound)
-        return count
+        with self._lock:
+            return sum(1 for tick, _ in self._scheduled.values()
+                       if tick <= bound)
 
     def cascades(self) -> int:
-        """Total cascade operations across all shards."""
-        return sum(shard.wheel.cascades for shard in self._shards)
+        """Total cascade operations performed by the wheel."""
+        return self._wheel.cascades
 
-    def shard_lags(self, now: int) -> list[int]:
-        """Per-shard scheduling lag in ticks (0 = keeping up).
+    def lag(self, now: int) -> int:
+        """Scheduling lag in ticks (0 = keeping up).
 
-        A shard's lag is how far behind ``now`` its earliest live
-        armament sits; a persistently non-zero shard means its wave
-        batches are not draining — the signal behind the
-        ``dbcron.wheel.shard_lag_ticks`` histogram.
+        How far behind ``now`` the earliest live armament sits; a
+        persistently non-zero lag means waves are not draining — the
+        signal behind the ``dbcron.wheel.shard_lag_ticks`` histogram.
         """
-        lags: list[int] = []
-        for shard in self._shards:
-            with shard.lock:
-                earliest = min(
-                    (tick for tick, _ in shard.scheduled.values()),
-                    default=None)
-            lags.append(max(0, now - earliest)
-                        if earliest is not None else 0)
-        return lags
-
-    def shard_sizes(self) -> list[int]:
-        """Live armed rules per shard (rebalances as rules drop)."""
-        return [len(shard.scheduled) for shard in self._shards]
+        with self._lock:
+            earliest = min((tick for tick, _ in self._scheduled.values()),
+                           default=None)
+        return max(0, now - earliest) if earliest is not None else 0
 
     def overflow_size(self) -> int:
         """Far-future entries parked beyond the slotted capacity."""
-        return sum(shard.wheel.overflow_size for shard in self._shards)
+        return self._wheel.overflow_size
 
     def stats(self) -> dict:
         """Snapshot for ``Session.rules.stats()`` / the CLI."""
-        sizes = self.shard_sizes()
         return {
             "kind": "wheel",
-            "shards": len(self._shards),
-            "scheduled": sum(sizes),
-            "shard_sizes": sizes,
+            "scheduled": len(self._scheduled),
             "cascades": self.cascades(),
             "overflow": self.overflow_size(),
             "slots": list(self._slots),

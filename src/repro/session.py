@@ -64,7 +64,6 @@ from repro.obs.slo import SLOMonitor
 from repro.obs.telemetry import SlowQuery, SlowQueryLog, TelemetryPipeline
 from repro.obs.tracer import Span, Tracer
 from repro.rules import DBCron, RuleManager, RulesFacade, SimulatedClock
-from repro.runtime import WorkerPool
 
 __all__ = ["Session", "Explanation", "Profile"]
 
@@ -248,7 +247,6 @@ class Session:
                  clock_start: int = 1, cron_period: int = 7,
                  matcache: MaterialisationCache | None = None,
                  instrumentation: Instrumentation | None = None,
-                 workers: int | None = None,
                  telemetry: bool = False,
                  telemetry_port: int | None = None,
                  slow_query_threshold: float | None = None,
@@ -256,7 +254,6 @@ class Session:
                  periodic: bool | None = None,
                  vector_db: bool | None = None,
                  scheduler: str | None = None,
-                 wheel_shards: int | None = None,
                  throttle=None) -> None:
         self._explicit_instrumentation = instrumentation
         #: Tri-state optimizer override: None defers to the registry's
@@ -272,16 +269,9 @@ class Session:
         # the env var would.
         if vector_db is not None:
             db_vector.set_enabled(bool(vector_db))
-        #: Worker pool shared by ``eval_many`` and the DBCRON daemon;
-        #: sized by ``workers`` (default: the ``REPRO_WORKERS`` env var,
-        #: falling back to 1 = fully sequential).  Lazy: no threads are
-        #: started until the first parallel dispatch.
-        self.pool = WorkerPool(workers)
         #: DBCRON scheduler selection: "wheel"/"heap" (None = the
-        #: ``REPRO_WHEEL`` env var, wheel by default) and the wheel's
-        #: shard count (None = the pool size).
+        #: ``REPRO_WHEEL`` env var, wheel by default).
         self._scheduler = scheduler
-        self._wheel_shards = wheel_shards
         #: Optional per-tenant admission control shared by the manager
         #: (registration budgets) and the daemon (fire shedding).
         self.throttle = throttle
@@ -349,9 +339,7 @@ class Session:
         self.manager.throttle = getattr(self, "throttle", None)
         self.clock = SimulatedClock(now=clock_start)
         self.cron = DBCron(self.manager, self.clock, period=cron_period,
-                           pool=getattr(self, "pool", None),
                            scheduler=getattr(self, "_scheduler", None),
-                           shards=getattr(self, "_wheel_shards", None),
                            throttle=getattr(self, "throttle", None))
         #: The unified rule API (``session.rules.on_calendar(...)``);
         #: reads the manager/daemon through the session, so the same
@@ -448,15 +436,14 @@ class Session:
         """Attach a structured event pipeline to the whole stack.
 
         Wires the (possibly new) pipeline into the instrumentation
-        bundle, the materialisation cache, the worker pool and the
-        slow-query log, so eval/cache/rule/pool event sites start
-        emitting.  Idempotent; returns the live pipeline.
+        bundle, the materialisation cache and the slow-query log, so
+        eval/cache/rule event sites start emitting.  Idempotent; returns
+        the live pipeline.
         """
         pipeline = self.instrumentation.attach_telemetry(
             pipeline if pipeline is not None else self.telemetry)
         self.telemetry = pipeline
         self.registry.matcache.pipeline = pipeline
-        self.pool.telemetry = pipeline
         self.slowlog.pipeline = pipeline
         return pipeline
 
@@ -465,7 +452,6 @@ class Session:
         pipeline = self.instrumentation.detach_telemetry()
         self.telemetry = None
         self.registry.matcache.pipeline = None
-        self.pool.telemetry = None
         self.slowlog.pipeline = None
         return pipeline
 
@@ -494,9 +480,8 @@ class Session:
 
         ``status`` is ``"ok"`` or ``"degraded"`` (with a ``problems``
         list): the daemon running more than two probe periods behind its
-        schedule, a closed worker pool, or a violated SLO objective
-        (named, with its burn-rate detail) degrade the session.  Cache
-        fill is informational.
+        schedule or a violated SLO objective (named, with its burn-rate
+        detail) degrade the session.  Cache fill is informational.
         """
         problems: list[str] = []
         metrics = self.instrumentation.metrics
@@ -506,8 +491,6 @@ class Session:
             problems.append(
                 f"dbcron {drift:g} ticks behind schedule "
                 f"(period {self.cron.period})")
-        if not self.pool.alive:
-            problems.append("worker pool closed")
         if self.slo is not None:
             problems.extend(self.slo.problems())
         cache = self.registry.matcache
@@ -517,7 +500,6 @@ class Session:
             "problems": problems,
             "clock": self.clock.now,
             "drift_ticks": drift,
-            "pool": {"size": self.pool.size, "alive": self.pool.alive},
             "cache": {
                 "entries": entries,
                 "maxsize": cache.maxsize,
@@ -557,7 +539,7 @@ class Session:
         return self.server
 
     def close(self) -> None:
-        """Stop the telemetry server (if any), profiler and worker pool.
+        """Stop the telemetry server (if any) and the profiler.
 
         Also detaches the telemetry pipeline: a session built on the
         process-default instrumentation must not leave its pipeline
@@ -570,7 +552,6 @@ class Session:
             self._profiler.stop()
         if self.telemetry is not None:
             self.disable_telemetry()
-        self.pool.close(wait=False)
 
     # -- profiling & SLOs ----------------------------------------------------
 
@@ -693,9 +674,8 @@ class Session:
 
     # -- batch evaluation ----------------------------------------------------
 
-    def eval_many(self, scripts, *, window=None, today=None,
-                  max_workers: int | None = None) -> list:
-        """Evaluate a batch of scripts concurrently; results in order.
+    def eval_many(self, scripts, *, window=None, today=None) -> list:
+        """Evaluate a batch of scripts as one shared-work batch.
 
         Semantically equivalent to ``[self.eval(s, window=window,
         today=today) for s in scripts]`` but structured as a shared-work
@@ -709,26 +689,16 @@ class Session:
            shared by every job, so a basic calendar referenced by N
            scripts is generated (or fetched from the matcache) exactly
            once for the whole batch.
-        3. **Execute** — jobs run on the session's worker pool (or a
-           transient pool when ``max_workers`` differs from its size);
-           with tracing on, per-thread spans roll up under one
+        3. **Execute** — jobs run in order on the calling thread; with
+           tracing on, each ``session.eval_job`` span nests under one
            ``session.eval_many`` root.
 
         The first exception, by *input* order, is re-raised after all
-        jobs settle.  ``max_workers=None`` uses the session pool's size
-        (``workers=`` at construction, else ``REPRO_WORKERS``, else 1);
-        with one worker the batch runs inline on the calling thread —
-        still deduplicated — with no thread overhead.
+        jobs settle.
         """
         scripts = list(scripts)
         if not scripts:
             return []
-        if max_workers is None:
-            pool, workers = self.pool, self.pool.size
-        else:
-            workers = max(1, int(max_workers))
-            pool = self.pool if workers == self.pool.size \
-                else WorkerPool(workers)
         tracer = self.instrumentation.tracer
         # Deduplicate: input position -> unique-job index.
         unique: dict[str, int] = {}
@@ -736,24 +706,19 @@ class Session:
         texts = list(unique)
         if self.telemetry is not None:
             self.telemetry.emit("batch.start", scripts=len(scripts),
-                                unique=len(texts), workers=workers)
+                                unique=len(texts))
         t0 = perf_counter()
         try:
             if tracer is not None:
                 with tracer.span("session.eval_many", scripts=len(scripts),
-                                 unique=len(texts),
-                                 workers=workers) as root:
-                    settled = self._eval_batch(texts, window, today,
-                                               workers, pool, root)
+                                 unique=len(texts)) as root:
+                    settled = self._eval_batch(texts, window, today, root)
             else:
-                settled = self._eval_batch(texts, window, today, workers,
-                                           pool, None)
+                settled = self._eval_batch(texts, window, today, None)
         finally:
-            if pool is not self.pool:
-                pool.close(wait=False)
             if self.telemetry is not None:
                 self.telemetry.emit("batch.finish", scripts=len(scripts),
-                                    unique=len(texts), workers=workers,
+                                    unique=len(texts),
                                     duration_s=perf_counter() - t0)
         for idx in order:
             error = settled[idx][1]
@@ -761,8 +726,8 @@ class Session:
                 raise error
         return [settled[idx][0] for idx in order]
 
-    def _eval_batch(self, texts: list, window, today, workers: int,
-                    pool: WorkerPool, root: "Span | None") -> list:
+    def _eval_batch(self, texts: list, window, today,
+                    root: "Span | None") -> list:
         """Plan + hoist + execute unique ``texts``; [(result, error)]."""
         registry = self.registry
         base_ctx = registry.context(window, today=today)
@@ -779,19 +744,17 @@ class Session:
         else:
             jobs = [self._plan_job(text, base_ctx) for text in texts]
             self._hoist_generates(jobs, base_ctx)
-
-        def run_job(job: _BatchJob):
+        settled = []
+        for job in jobs:
             if job.error is not None:
-                return (None, job.error)
+                settled.append((None, job.error))
+                continue
             try:
-                return (self._exec_job(job, window, today, shared_cache,
-                                       root), None)
+                settled.append((self._exec_job(job, window, today,
+                                               shared_cache, root), None))
             except Exception as exc:
-                return (None, exc)
-
-        if workers > 1 and len(jobs) > 1:
-            return pool.map(run_job, jobs)
-        return [run_job(job) for job in jobs]
+                settled.append((None, exc))
+        return settled
 
     def _plan_job(self, text: str, base_ctx) -> _BatchJob:
         """Classify and pre-compile one unique batch script."""
@@ -825,7 +788,7 @@ class Session:
         ``materialise_basic`` keys on (granularity, unit, padded window,
         mode), so steps shared across plans collapse to one computation
         whose result lands in the batch-shared context cache; the
-        workers then hit that dict without touching the matcache.
+        jobs then hit that dict without touching the matcache.
         """
         for job in jobs:
             if job.plan is None:
@@ -839,11 +802,10 @@ class Session:
                   root: "Span | None"):
         """Run one planned job in a fresh context wired to the shared cache.
 
-        Called from pool workers during parallel batches: the fresh
-        per-job context keeps mutable evaluation state (env, stats)
-        thread-private, while ``shared_cache`` carries the hoisted
-        materialisations.  With tracing on, the job span adopts ``root``
-        so worker-thread spans join the dispatching thread's trace tree.
+        The fresh per-job context keeps evaluation state (env, stats)
+        private to the job, while ``shared_cache`` carries the hoisted
+        materialisations.  With tracing on, the job span nests under
+        the batch ``root``, whose trace id tags the latency exemplar.
         """
         registry = self.registry
         tracer = registry.instrumentation.tracer
@@ -851,9 +813,9 @@ class Session:
         error = None
         t0 = perf_counter()
         try:
-            if tracer is not None and root is not None:
-                with tracer.child_span(root, "session.eval_job",
-                                       script=job.text, kind=job.kind):
+            if tracer is not None:
+                with tracer.span("session.eval_job", script=job.text,
+                                 kind=job.kind):
                     return self._exec_job_inner(job, window, today,
                                                 shared_cache)
             return self._exec_job_inner(job, window, today, shared_cache)

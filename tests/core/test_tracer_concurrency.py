@@ -143,7 +143,7 @@ class TestEvalManyInteraction:
         """The user-visible symptom: \\trace clear during eval_many."""
         # Private bundle: enabling tracing here must not leak into the
         # process-default instrumentation other tests share.
-        session = Session(workers=4, instrumentation=Instrumentation())
+        session = Session(instrumentation=Instrumentation())
         session.instrumentation.enable_tracing()
         scripts = [f"[{i}]/WEEKS:during:1993/YEARS" for i in range(1, 9)]
         session.eval_many(scripts)

@@ -1,5 +1,6 @@
 """Round-trip tests for JSON persistence."""
 
+import json
 import math
 
 import pytest
@@ -107,6 +108,23 @@ class TestRoundTrip:
         loaded = load_database(str(path))
         assert loaded.rule_manager.tables.next_fire_of("tuesdays") == \
             expected
+
+    def test_compact_save_and_indented_file_both_load(self, populated,
+                                                      tmp_path):
+        # Saves are written compact (one line); files from the earlier
+        # indented writer must still load to the same relations.
+        compact = tmp_path / "compact.json"
+        save_database(populated, str(compact))
+        assert "\n" not in compact.read_text(encoding="utf-8")
+        indented = tmp_path / "indented.json"
+        payload, _ = dump_database(populated)
+        indented.write_text(json.dumps(payload, indent=1), encoding="utf-8")
+        for path in (compact, indented):
+            rows = load_database(str(path)).execute(
+                "retrieve (s.name, s.hours) from s in students "
+                "order by name")
+            assert [(r["name"], r["hours"]) for r in rows.rows] == [
+                ("ana", 10), ("bo", 20), ("cara", 30)]
 
     def test_callback_rules_reported_skipped(self, populated, tmp_path):
         populated.rule_manager.declare_event(

@@ -112,7 +112,7 @@ class TestSessionCapture:
 
     def test_eval_many_batch_produces_records(self):
         """The acceptance shape: a 32-script batch, threshold forced low."""
-        session = Session(slow_query_threshold=0.0, workers=4)
+        session = Session(slow_query_threshold=0.0)
         scripts = [f"[{i}]/DAYS:during:[1]/MONTHS:during:1993/YEARS"
                    for i in range(1, 17)] + \
                   [f"[{i}]/WEEKS:during:1993/YEARS" for i in range(1, 17)]

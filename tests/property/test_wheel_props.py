@@ -1,7 +1,7 @@
 """Property-based parity: the timing wheel ≡ the legacy heap scheduler.
 
-For random rule sets (random explicit calendars, probe periods and shard
-counts), a wheel-scheduled daemon must fire exactly the same (rule, tick)
+For random rule sets (random explicit calendars and probe periods), a
+wheel-scheduled daemon must fire exactly the same (rule, tick)
 sequence as a heap-scheduled one.  Order *within* one tick is normalised
 — both schedulers are deterministic, but the contract is per-tick set
 equality plus cross-tick ordering, and that is what downstream rule
@@ -21,18 +21,16 @@ rule_schedules = st.lists(
              min_size=1, max_size=10, unique=True),
     min_size=1, max_size=5)
 periods = st.integers(min_value=1, max_value=40)
-shard_counts = st.integers(min_value=1, max_value=5)
 
 
-def run_daemon(schedules, period, scheduler, shards=None):
+def run_daemon(schedules, period, scheduler):
     """Fire a rule set to completion; [(tick, {rules fired at tick})]."""
     registry = CalendarRegistry(CalendarSystem.starting("Jan 1 1987"),
                                 default_horizon_years=3)
     db = Database(calendars=registry)
     manager = RuleManager(db)
     clock = SimulatedClock(now=1)
-    cron = DBCron(manager, clock, period=period, scheduler=scheduler,
-                  shards=shards)
+    cron = DBCron(manager, clock, period=period, scheduler=scheduler)
     fired: list[tuple[int, str]] = []
     for i, days in enumerate(schedules):
         registry.define(f"S{i}", values=[(d, d) for d in sorted(days)],
@@ -54,13 +52,12 @@ def run_daemon(schedules, period, scheduler, shards=None):
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rule_schedules, periods, shard_counts)
-def test_wheel_fires_identically_to_heap(schedules, period, shards):
+@given(rule_schedules, periods)
+def test_wheel_fires_identically_to_heap(schedules, period):
     heap_waves = run_daemon(schedules, period, "heap")
-    wheel_waves = run_daemon(schedules, period, "wheel", shards=shards)
+    wheel_waves = run_daemon(schedules, period, "wheel")
     assert wheel_waves == heap_waves, \
-        f"period={period} shards={shards}: " \
-        f"wheel {wheel_waves} != heap {heap_waves}"
+        f"period={period}: wheel {wheel_waves} != heap {heap_waves}"
 
 
 @settings(max_examples=30, deadline=None,
@@ -68,12 +65,14 @@ def test_wheel_fires_identically_to_heap(schedules, period, shards):
 @given(st.lists(st.tuples(st.text(alphabet="abcdef", min_size=1,
                                   max_size=6),
                           st.integers(min_value=2, max_value=200)),
-                min_size=1, max_size=30),
-       shard_counts)
-def test_schedule_pop_parity_on_raw_arms(arms, shards):
-    """The bare strategy objects agree, whatever the arm stream."""
-    heap, wheel = HeapSchedule(), WheelSchedule(1, shards=shards,
-                                                slots=(4, 4, 4))
+                min_size=1, max_size=30))
+def test_schedule_pop_parity_on_raw_arms(arms):
+    """The bare strategy objects agree, whatever the arm stream.
+
+    Both pop a wave in arm order, so the waves match exactly, order
+    within a tick included.
+    """
+    heap, wheel = HeapSchedule(), WheelSchedule(1, slots=(4, 4, 4))
     for name, tick in arms:
         assert heap.schedule(name, tick) == wheel.schedule(name, tick)
     assert len(heap) == len(wheel)
@@ -84,6 +83,6 @@ def test_schedule_pop_parity_on_raw_arms(arms, shards):
             wave = sched.pop_wave(500)
             if not wave:
                 return out
-            out.append((wave[0][0], {name for _, name, _ in wave}))
+            out.append(wave)
 
     assert waves(wheel) == waves(heap)

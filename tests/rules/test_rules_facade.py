@@ -129,13 +129,6 @@ class TestSchedulerSelection:
         finally:
             sess.close()
 
-    def test_wheel_shards_override(self):
-        sess = Session("Jan 1 1987", scheduler="wheel", wheel_shards=3)
-        try:
-            assert sess.cron.sched.shards == 3
-        finally:
-            sess.close()
-
     def test_env_opt_out(self, monkeypatch):
         monkeypatch.setenv("REPRO_WHEEL", "0")
         sess = Session("Jan 1 1987")

@@ -146,25 +146,6 @@ class TestExplainCommand:
         assert "usage" in session.run_line("\\explain")
 
 
-class TestWorkersCommand:
-    def test_show_default_size(self):
-        session = Session(holiday_years=(1987, 1994))
-        out = session.run_line("\\workers")
-        assert out == f"worker pool size: {session.pool.size}"
-
-    def test_resize(self):
-        session = Session(holiday_years=(1987, 1994))
-        assert session.run_line("\\workers 4") == \
-            "worker pool resized to 4"
-        assert session.pool.size == 4
-        assert session.run_line("\\workers") == "worker pool size: 4"
-
-    def test_usage_on_bad_argument(self, session):
-        assert "usage" in session.run_line("\\workers three")
-        assert "usage" in session.run_line("\\workers 0")
-        assert "usage" in session.run_line("\\workers -2")
-
-
 class TestCacheContentionLine:
     def test_cache_reports_contention(self, session):
         session.run_line("[1]/MONTHS:during:1993/YEARS")
